@@ -5,6 +5,11 @@ are sub-millisecond operations: flow placement, what-if view probing, cost
 planning, and Fat-Tree path enumeration. They guard against accidental
 complexity regressions in the planner's inner loop — the component every
 LMTF round calls α+1 times.
+
+The fixtures build their workloads inside ``hermetic_ids()`` and the timed
+lambdas use fixed flow ids: flow ids feed the ECMP path hash, so minting
+them a calibration-dependent number of times would hand later fixtures a
+different workload on every run.
 """
 
 import random
@@ -12,8 +17,9 @@ import random
 import pytest
 
 from repro.core.event import make_event
-from repro.core.flow import Flow, next_flow_id
+from repro.core.flow import Flow
 from repro.core.planner import EventPlanner
+from repro.experiments.runner import hermetic_ids
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.fattree import FatTreeTopology
 from repro.network.view import NetworkView
@@ -26,21 +32,25 @@ from repro.traces.yahoo import YahooLikeTrace
 
 @pytest.fixture(scope="module")
 def loaded():
-    topo = FatTreeTopology(k=8)
-    provider = PathProvider(topo)
-    network = topo.network()
-    trace = YahooLikeTrace(topo.hosts(), seed=1)
-    BackgroundLoader(network, provider, trace,
-                     random.Random(2)).load_to_utilization(0.7)
-    return topo, provider, network
+    """The 70%-loaded k=8 fabric, plus a 30-flow event to probe on it."""
+    with hermetic_ids():
+        topo = FatTreeTopology(k=8)
+        provider = PathProvider(topo)
+        network = topo.network()
+        trace = YahooLikeTrace(topo.hosts(), seed=1)
+        BackgroundLoader(network, provider, trace,
+                         random.Random(2)).load_to_utilization(0.7)
+        btrace = BensonLikeTrace(topo.hosts(), seed=5, duration_median=1.0)
+        event = make_event(btrace.flows(30))
+    return topo, provider, network, event
 
 
 def test_place_remove_roundtrip(benchmark, loaded):
-    topo, provider, network = loaded
+    topo, provider, network, __ = loaded
     path = provider.paths("h0_0_0", "h7_3_3")[0]
 
     def place_remove():
-        flow = Flow(flow_id=next_flow_id(), src="h0_0_0", dst="h7_3_3",
+        flow = Flow(flow_id="bench-roundtrip", src="h0_0_0", dst="h7_3_3",
                     demand=1.0)
         network.place(flow, path)
         network.remove(flow.flow_id)
@@ -49,12 +59,12 @@ def test_place_remove_roundtrip(benchmark, loaded):
 
 
 def test_view_probe_overhead(benchmark, loaded):
-    topo, provider, network = loaded
+    topo, provider, network, __ = loaded
     path = provider.paths("h0_0_0", "h7_3_3")[0]
 
     def probe():
         view = NetworkView(network)
-        flow = Flow(flow_id=next_flow_id(), src="h0_0_0", dst="h7_3_3",
+        flow = Flow(flow_id="bench-probe", src="h0_0_0", dst="h7_3_3",
                     demand=1.0)
         view.place(flow, path)
         return view.path_residual(path)
@@ -63,7 +73,7 @@ def test_view_probe_overhead(benchmark, loaded):
 
 
 def test_path_residual(benchmark, loaded):
-    topo, provider, network = loaded
+    topo, provider, network, __ = loaded
     paths = provider.paths("h0_0_0", "h7_3_3")
 
     def residuals():
@@ -85,10 +95,8 @@ def test_fattree_path_enumeration(benchmark):
 
 def test_event_cost_probe(benchmark, loaded):
     """One LMTF cost probe: plan a 30-flow event on a throwaway view."""
-    topo, provider, network = loaded
+    topo, provider, network, event = loaded
     planner = EventPlanner(provider)
-    trace = BensonLikeTrace(topo.hosts(), seed=5, duration_median=1.0)
-    event = make_event(trace.flows(30))
     rng = random.Random(6)
 
     def probe():
@@ -98,7 +106,7 @@ def test_event_cost_probe(benchmark, loaded):
 
 
 def test_network_copy(benchmark, loaded):
-    __, __provider, network = loaded
+    __, __provider, network, __event = loaded
     benchmark(network.copy)
 
 
@@ -113,15 +121,16 @@ def steady_state():
     footprint-cacheable; at 0.7 (the ``loaded`` fixture) nearly every plan
     migrates, draws randomness, and is uncacheable by design.
     """
-    topo = FatTreeTopology(k=8)
-    provider = PathProvider(topo)
-    network = topo.network()
-    trace = YahooLikeTrace(topo.hosts(), seed=1)
-    BackgroundLoader(network, provider, trace,
-                     random.Random(2)).load_to_utilization(0.4)
-    btrace = BensonLikeTrace(topo.hosts(), seed=5, duration_median=1.0)
-    events = [make_event(btrace.flows(5), label=f"probe{i}")
-              for i in range(16)]
+    with hermetic_ids():
+        topo = FatTreeTopology(k=8)
+        provider = PathProvider(topo)
+        network = topo.network()
+        trace = YahooLikeTrace(topo.hosts(), seed=1)
+        BackgroundLoader(network, provider, trace,
+                         random.Random(2)).load_to_utilization(0.4)
+        btrace = BensonLikeTrace(topo.hosts(), seed=5, duration_median=1.0)
+        events = [make_event(btrace.flows(5), label=f"probe{i}")
+                  for i in range(16)]
     return provider, network, events
 
 
@@ -215,11 +224,9 @@ def test_feature_extract(benchmark, loaded):
 
     from repro.sched.learned.features import FeatureExtractor
 
-    topo, provider, network = loaded
+    topo, provider, network, event = loaded
     planner = EventPlanner(provider)
     extractor = FeatureExtractor(planner)
-    trace = BensonLikeTrace(topo.hosts(), seed=5, duration_median=1.0)
-    event = make_event(trace.flows(30))
     queued = QueuedEvent(event, seq=0)
     benchmark(lambda: extractor.extract(queued, network))
 

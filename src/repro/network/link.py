@@ -33,14 +33,24 @@ class LinkTable:
     every copy, which shares the graph — shares one table, which is what
     lets an interned candidate path's baked indices be valid across all of
     them. The table is immutable after construction.
+
+    ``switch_idx`` lists, in table order, the links with no host endpoint:
+    the pool the paper's utilization statistics average over. It is fixed
+    with the table, so every reader (utilization, fault targeting,
+    background loading) shares one source of truth.
     """
 
-    __slots__ = ("ids", "index", "__weakref__")
+    __slots__ = ("ids", "index", "switch_idx", "__weakref__")
 
-    def __init__(self, links: Iterable[LinkId]):
+    def __init__(self, links: Iterable[LinkId],
+                 hosts: Iterable[str] = ()):
         self.ids: tuple[LinkId, ...] = tuple(links)
         self.index: dict[LinkId, int] = {
             link: i for i, link in enumerate(self.ids)}
+        host_set = frozenset(hosts)
+        self.switch_idx: tuple[int, ...] = tuple(
+            i for i, (u, v) in enumerate(self.ids)
+            if u not in host_set and v not in host_set)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -53,11 +63,14 @@ def link_table_for(graph) -> LinkTable:
     """The interned :class:`LinkTable` of ``graph`` (built on first use).
 
     Keyed by graph identity: topologies cache and share their graph, so all
-    networks of one topology resolve to the same table.
+    networks of one topology resolve to the same table. Hosts are the nodes
+    whose ``kind`` attribute is ``"host"``.
     """
     table = _TABLES.get(graph)
     if table is None:
-        table = LinkTable(graph.edges())
+        table = LinkTable(graph.edges(),
+                          hosts=[n for n, kind in graph.nodes(data="kind")
+                                 if kind == "host"])
         _TABLES[graph] = table
     return table
 

@@ -20,7 +20,7 @@ building or string-pair hashing.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import networkx as nx
 
@@ -132,10 +132,13 @@ class Network(NetworkState):
 
     def switch_links(self) -> list[LinkId]:
         """Links between switches (excludes host access links); utilization
-        statistics in the paper's sense are computed over these."""
-        kinds: Mapping[str, str] = nx.get_node_attributes(self._graph, "kind")
-        return [(u, v) for (u, v) in self._table.ids
-                if kinds.get(u) != "host" and kinds.get(v) != "host"]
+        statistics in the paper's sense are computed over these.
+
+        Read from the link table's ``switch_idx``; the list is fresh, so
+        callers may slice or mutate it.
+        """
+        ids = self._table.ids
+        return [ids[i] for i in self._table.switch_idx]
 
     # ------------------------------------------------------- indexed kernel
     #
@@ -150,6 +153,11 @@ class Network(NetworkState):
     def capacity_col(self) -> array:
         """The raw capacity column (immutable by convention)."""
         return self._cap_col
+
+    def used_col(self) -> array:
+        """The raw usage column — read-only for callers. Fetch it per use:
+        :meth:`restore_state` swaps in a new array."""
+        return self._used_col
 
     def used_idx(self, i: int) -> float:
         return self._used_col[i]
@@ -388,18 +396,25 @@ class Network(NetworkState):
 
     # ------------------------------------------------------------ statistics
 
+    def _utilizations(self, links: Iterable[LinkId] | None) -> list[float]:
+        """Per-link utilization over ``links`` (default: the switch-link
+        pool in table order). The default reads the columns with the same
+        expression as :meth:`utilization`, so sums over it are
+        bit-identical to summing ``utilization(u, v)`` link by link."""
+        if links is not None:
+            return [self.utilization(u, v) for u, v in links]
+        cap, used = self._cap_col, self._used_col
+        return [used[i] / cap[i] if cap[i] > 0 else 0.0
+                for i in self._table.switch_idx]
+
     def average_utilization(self, links: Iterable[LinkId] | None = None) -> float:
         """Mean utilization over ``links`` (default: switch-switch links)."""
-        pool = list(links) if links is not None else self.switch_links()
-        if not pool:
-            return 0.0
-        return sum(self.utilization(u, v) for u, v in pool) / len(pool)
+        values = self._utilizations(links)
+        return sum(values) / len(values) if values else 0.0
 
     def max_utilization(self, links: Iterable[LinkId] | None = None) -> float:
-        pool = list(links) if links is not None else self.switch_links()
-        if not pool:
-            return 0.0
-        return max(self.utilization(u, v) for u, v in pool)
+        values = self._utilizations(links)
+        return max(values) if values else 0.0
 
     def total_capacity(self) -> float:
         return sum(self._cap_col)

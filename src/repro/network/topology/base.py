@@ -61,6 +61,21 @@ class Topology(abc.ABC):
         :class:`TopologyError` when either endpoint is not a host.
         """
 
+    def attachment(self, host: str) -> str | None:
+        """The switch ``host`` attaches to (its ingress switch), or ``None``.
+
+        A topology that returns a switch here promises that every
+        ``equal_cost_paths(src, dst)`` list is ``(src,) + T + (dst,)`` for
+        interior tuples ``T`` that depend only on the pair
+        ``(attachment(src), attachment(dst))``. The path provider then
+        enumerates the fabric once per attachment pair and builds host-pair
+        candidates by concatenation. Implementations raise
+        :class:`TopologyError` for a node that is not a host, as
+        ``equal_cost_paths`` would. The default ``None`` (unstructured
+        topologies) makes the provider enumerate every host pair itself.
+        """
+        return None
+
     def region_of(self, node: str) -> int | None:
         """The topology region ``node`` belongs to, or ``None``.
 

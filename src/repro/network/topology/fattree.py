@@ -83,6 +83,11 @@ class FatTreeTopology(Topology):
             raise TopologyError(f"{host!r} is outside fat-tree(k={self.k})")
         return pod, edge, index
 
+    def attachment(self, host: str) -> str:
+        """The edge switch serving ``host``."""
+        pod, edge, __ = self.locate_host(host)
+        return self.edge_name(pod, edge)
+
     # ------------------------------------------------------------- building
 
     def _build(self) -> nx.DiGraph:

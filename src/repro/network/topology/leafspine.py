@@ -65,6 +65,11 @@ class LeafSpineTopology(Topology):
             raise TopologyError(f"{host!r} is outside {self.name}")
         return leaf, index
 
+    def attachment(self, host: str) -> str:
+        """The leaf switch serving ``host``."""
+        leaf, __ = self.locate_host(host)
+        return self.leaf_name(leaf)
+
     def region_of(self, node: str) -> int | None:
         """The leaf-group index; ``None`` for spine switches.
 

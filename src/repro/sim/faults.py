@@ -186,7 +186,7 @@ class FaultProcess:
         """
         if self.rate == 0.0 or self.horizon == 0.0:
             return FaultSchedule([])
-        links = list(network.switch_links())
+        links = network.switch_links()
         if not links:
             return FaultSchedule([])
         switches = sorted({u for u, _ in links} | {v for _, v in links})

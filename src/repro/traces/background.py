@@ -16,8 +16,14 @@ from repro.core.exceptions import InsufficientBandwidthError
 from repro.core.flow import Flow, FlowKind
 from repro.network.link import EPS
 from repro.network.network import Network
+from repro.network.routing.candidate import CandidatePath
 from repro.network.routing.provider import PathProvider
 from repro.traces.base import TraceGenerator
+
+#: Absolute slack on the loader's utilization bound, also its relative
+#: inflation per placement. Float error in the exact mean (a 512-term sum)
+#: is ~1e-13, far below it.
+_BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -58,6 +64,9 @@ class BackgroundLoader:
         if path_policy not in self.PATH_POLICIES:
             raise ValueError(f"unknown path policy {path_policy!r}; "
                              f"pick one of {self.PATH_POLICIES}")
+        if network.link_table() is not provider.link_table():
+            raise ValueError("network and provider must share one topology "
+                             "graph (their link tables differ)")
         self._network = network
         self._provider = provider
         self._trace = trace
@@ -91,6 +100,15 @@ class BackgroundLoader:
                             max_flows: int = 100000) -> LoadReport:
         """Place flows until average switch-link utilization >= ``target``.
 
+        The loop stops at the first flow after which the exact
+        :meth:`Network.average_utilization` reaches ``target``, but only
+        evaluates it when it might have: between evaluations it tracks an
+        upper bound — the last exact value plus each placement's
+        ``Σ demand/cap`` over its switch links divided by the pool size,
+        inflated by :data:`_BOUND_SLACK` — and while ``bound + _BOUND_SLACK <
+        target`` the exact mean (whose float error is orders of magnitude
+        smaller than the slack) cannot have reached the target either.
+
         Args:
             target: desired average utilization in ``[0, 1)``.
             permanent: when True the placed flows have no duration (static
@@ -107,11 +125,23 @@ class BackgroundLoader:
         if not 0.0 <= target < 1.0:
             raise ValueError(f"target utilization must be in [0, 1), "
                              f"got {target}")
+        network = self._network
+        switch_idx = network.link_table().switch_idx
+        is_switch = bytearray(len(network.link_table()))
+        for i in switch_idx:
+            is_switch[i] = 1
+        pool = len(switch_idx) or 1  # no switch links: the mean stays 0
         placed: list[Flow] = []
         rejected = 0
         consecutive_rejects = 0
-        while (len(placed) < max_flows
-               and self._network.average_utilization() < target):
+        bound = network.average_utilization()
+        exact: float | None = bound
+        while len(placed) < max_flows:
+            if bound + _BOUND_SLACK >= target:
+                if exact is None:
+                    exact = bound = network.average_utilization()
+                if exact >= target:
+                    break
             flow = self._trace.sample_flow(kind=FlowKind.BACKGROUND,
                                            permanent=permanent)
             path = self.best_path(flow)
@@ -122,7 +152,7 @@ class BackgroundLoader:
                     break
                 continue
             try:
-                self._network.place(flow, path)
+                network.place(flow, path)
             except InsufficientBandwidthError:
                 # best_path checks bandwidth; a switch rule table may still
                 # reject the placement on rule-limited networks.
@@ -133,10 +163,19 @@ class BackgroundLoader:
                 continue
             consecutive_rejects = 0
             placed.append(flow)
+            assert path.link_idx is not None  # provider paths carry them
+            cap, demand, rise = network.capacity_col(), flow.demand, 0.0
+            for i in path.link_idx:
+                if is_switch[i] and cap[i] > 0:
+                    rise += demand / cap[i]
+            bound += rise / pool * (1.0 + _BOUND_SLACK)
+            exact = None
+        if exact is None:
+            exact = network.average_utilization()
         return LoadReport(placed=placed, rejected=rejected,
-                          utilization=self._network.average_utilization())
+                          utilization=exact)
 
-    def best_path(self, flow: Flow) -> tuple[str, ...] | None:
+    def best_path(self, flow: Flow) -> CandidatePath | None:
         """A feasible path for ``flow``, or None.
 
         With the default ``random`` policy a uniformly random feasible
@@ -148,30 +187,38 @@ class BackgroundLoader:
 
         Paths whose host access links would exceed ``host_link_cap`` are
         rejected even when raw capacity remains (see :attr:`host_link_cap`).
+
+        Candidates are scored on the provider's link indices straight off
+        the state columns; only the chosen one is materialized (interned,
+        so it is the same object :meth:`PathProvider.paths` returns).
         """
-        feasible = []
-        for path in self._provider.paths(flow.src, flow.dst):
-            residual = self._network.path_residual(path)
-            if residual + EPS < flow.demand:
+        routes = self._provider.routes(flow.src, flow.dst)
+        cap, used = self._network.capacity_col(), self._network.used_col()
+        demand, host_cap = flow.demand, self._host_link_cap
+        feasible: list[tuple[float, int]] = []
+        for k, inner in enumerate(routes.inner_idx):
+            up, down = routes.up_idx[k], routes.down_idx[k]
+            residual = cap[up] - used[up]
+            for i in inner:
+                res = cap[i] - used[i]
+                if res < residual:
+                    residual = res
+            res = cap[down] - used[down]
+            if res < residual:
+                residual = res
+            if residual + EPS < demand:
                 continue
-            if self._exceeds_host_cap(path, flow.demand):
+            if (used[up] + demand > host_cap * cap[up]
+                    or used[down] + demand > host_cap * cap[down]):
                 continue
-            feasible.append((residual, path))
+            feasible.append((residual, k))
         if not feasible:
             return None
         if self._path_policy == "random":
-            return self._rng.choice(feasible)[1]
+            return routes.candidate(self._rng.choice(feasible)[1])
         best_residual = max(r for r, __ in feasible)
-        choices = [p for r, p in feasible if r >= best_residual - EPS]
-        return self._rng.choice(choices)
-
-    def _exceeds_host_cap(self, path: tuple[str, ...],
-                          demand: float) -> bool:
-        for u, v in (path[0], path[1]), (path[-2], path[-1]):
-            cap = self._network.capacity(u, v)
-            if self._network.used(u, v) + demand > self._host_link_cap * cap:
-                return True
-        return False
+        choices = [k for r, k in feasible if r >= best_residual - EPS]
+        return routes.candidate(self._rng.choice(choices))
 
     def would_fit(self, flow: Flow) -> bool:
         """Feasibility probe without placement (Fig. 1's success test)."""

@@ -2,10 +2,15 @@
 
 import random
 
+import networkx as nx
 import pytest
 
+from repro.core.flow import FlowKind
+from repro.experiments.runner import hermetic_ids
+from repro.network.link import EPS
 from repro.network.routing.provider import PathProvider
 from repro.network.topology.fattree import FatTreeTopology
+from repro.network.topology.leafspine import LeafSpineTopology
 from repro.traces.background import BackgroundLoader
 from repro.traces.yahoo import YahooLikeTrace
 
@@ -112,3 +117,150 @@ class TestWouldFit:
         flow = trace.sample_flow()
         assert loader.would_fit(flow)
         assert net.flow_count() == 0
+
+
+# ------------------------------------------------ reference loader
+
+
+def _seed_average_utilization(net):
+    """The mean as first written: rebuild the switch-link pool from node
+    kinds and sum ``utilization(u, v)`` link by link."""
+    kinds = nx.get_node_attributes(net.graph, "kind")
+    pool = [(u, v) for u, v in net.links()
+            if kinds.get(u) != "host" and kinds.get(v) != "host"]
+    if not pool:
+        return 0.0
+    return sum(net.utilization(u, v) for u, v in pool) / len(pool)
+
+
+def _reference_load(net, provider, trace, rng, target, host_link_cap=0.9,
+                    path_policy="random", max_rejects=2000):
+    """The loader as first written: score each interned candidate through
+    ``path_residual`` and re-check the exact mean before every flow."""
+
+    def exceeds_host_cap(path, demand):
+        for u, v in (path[0], path[1]), (path[-2], path[-1]):
+            if net.used(u, v) + demand > host_link_cap * net.capacity(u, v):
+                return True
+        return False
+
+    def best_path(flow):
+        feasible = []
+        for path in provider.paths(flow.src, flow.dst):
+            residual = net.path_residual(path)
+            if residual + EPS < flow.demand:
+                continue
+            if exceeds_host_cap(path, flow.demand):
+                continue
+            feasible.append((residual, path))
+        if not feasible:
+            return None
+        if path_policy == "random":
+            return rng.choice(feasible)[1]
+        best_residual = max(r for r, __ in feasible)
+        return rng.choice([p for r, p in feasible
+                           if r >= best_residual - EPS])
+
+    placed, rejected, consecutive = [], 0, 0
+    while _seed_average_utilization(net) < target:
+        flow = trace.sample_flow(kind=FlowKind.BACKGROUND, permanent=True)
+        path = best_path(flow)
+        if path is None:
+            rejected += 1
+            consecutive += 1
+            if consecutive >= max_rejects:
+                break
+            continue
+        net.place(flow, path)
+        consecutive = 0
+        placed.append((flow.flow_id, tuple(path)))
+    return placed, rejected, _seed_average_utilization(net)
+
+
+def _mixed_leafspine():
+    """A leaf-spine whose spine links are 400/1000/2500 Mbit/s, so a
+    per-placement bound from any one capacity would be loose."""
+    topo = LeafSpineTopology(leaves=4, spines=3, hosts_per_leaf=4)
+    graph = topo.graph()
+    for u, v, data in graph.edges(data=True):
+        spine = v if v.startswith("s") else u if u.startswith("s") else None
+        if spine is not None:
+            data["capacity"] = (400.0, 1000.0, 2500.0)[int(spine[1:])]
+    return topo
+
+
+_TOPOLOGIES = {"fattree4": lambda: FatTreeTopology(k=4),
+               "leafspine-mixed": _mixed_leafspine}
+
+
+@pytest.mark.parametrize("policy", ["random", "best"])
+@pytest.mark.parametrize("target", [0.3, 0.7, 0.9])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("topology", sorted(_TOPOLOGIES))
+def test_bounded_loader_matches_reference(topology, seed, target, policy):
+    topo = _TOPOLOGIES[topology]()
+    runs = []
+    for load in ("reference", "bounded"):
+        net, provider = topo.network(), PathProvider(topo)
+        trace = YahooLikeTrace(topo.hosts(), seed=seed)
+        rng = random.Random(seed + 10)
+        with hermetic_ids():
+            if load == "reference":
+                placed, rejected, util = _reference_load(
+                    net, provider, trace, rng, target, path_policy=policy,
+                    max_rejects=300)
+            else:
+                report = BackgroundLoader(
+                    net, provider, trace, rng, path_policy=policy
+                ).load_to_utilization(target, max_rejects=300)
+                placed = [(f.flow_id, tuple(net.placement(f.flow_id).path))
+                          for f in report.placed]
+                rejected, util = report.rejected, report.utilization
+        runs.append((placed, rejected, util, net.used_col().tobytes(),
+                     rng.getstate()))
+    assert runs[0] == runs[1]
+    placed, rejected, util, __, __ = runs[1]
+    assert placed
+    if target == 0.9:
+        assert util < target and rejected >= 300  # the max_rejects exit
+    else:
+        assert util >= target or rejected >= 300
+
+
+def test_exact_evaluations_per_load_are_few():
+    topo = FatTreeTopology(k=8)
+    net = topo.network()
+    evaluations = 0
+    exact = net.average_utilization
+
+    def counted(*args, **kwargs):
+        nonlocal evaluations
+        evaluations += 1
+        return exact(*args, **kwargs)
+
+    net.average_utilization = counted
+    loader = BackgroundLoader(net, PathProvider(topo),
+                              YahooLikeTrace(topo.hosts(), seed=1),
+                              random.Random(2))
+    report = loader.load_to_utilization(0.7)
+    assert report.utilization >= 0.7
+    assert len(report.placed) > 1000
+    assert evaluations <= 50
+
+
+def test_average_utilization_is_bit_identical():
+    topo = _mixed_leafspine()
+    net = topo.network()
+    loader = BackgroundLoader(net, PathProvider(topo),
+                              YahooLikeTrace(topo.hosts(), seed=4),
+                              random.Random(5))
+    for target in (0.1, 0.2, 0.4):
+        loader.load_to_utilization(target)
+        assert net.average_utilization() == _seed_average_utilization(net)
+
+
+def test_loader_rejects_foreign_network(topo, provider):
+    other = FatTreeTopology(k=4)
+    trace = YahooLikeTrace(topo.hosts(), seed=1)
+    with pytest.raises(ValueError, match="link tables"):
+        BackgroundLoader(other.network(), provider, trace)

@@ -92,7 +92,9 @@ class TestFaultProcess:
 
     def test_targets_only_switch_links(self):
         net, _ = diamond_setup()
-        switch_links = set(net.switch_links())
+        table = net.link_table()
+        switch_links = {table.ids[i] for i in table.switch_idx}
+        assert set(net.switch_links()) == switch_links
         specs = list(FaultProcess(rate=0.5, horizon=120.0, seed=1)
                      .materialize(net))
         assert specs, "a 0.5 faults/s process over 120s drew nothing"

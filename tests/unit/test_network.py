@@ -65,6 +65,14 @@ class TestConstruction:
         assert ("s1", "s2") in links
         assert ("a", "s1") not in links
 
+    def test_switch_links_read_the_table_index(self, net):
+        table = net.link_table()
+        assert net.switch_links() == [table.ids[i] for i in table.switch_idx]
+        assert net.copy().link_table().switch_idx is table.switch_idx
+        fresh = net.switch_links()
+        fresh.clear()  # callers may mutate the list they get
+        assert net.switch_links()
+
 
 class TestPlacement:
     def test_place_consumes_bandwidth(self, net):
