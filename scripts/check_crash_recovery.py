@@ -13,7 +13,10 @@ For every (scheduler x kill point) cell in the grid the harness:
    audit and the per-round ledger audits both run) and lets it finish,
 4. asserts the resumed run's digest is **byte-identical** to the
    uninterrupted baseline's — same events, same outcomes, same simulated
-   times, same order.
+   times, same order — and that the two final checkpoints agree in every
+   section (per-event costs, stage counts, round log, network state, ...)
+   except the recovery bookkeeping in :data:`RECOVERY_FIELDS` and the
+   fingerprint that covers it.
 
 One extra cell exercises the supervisor end-to-end: the armed child is
 launched via ``--supervise``, dies by SIGKILL, and the supervisor (which
@@ -28,8 +31,9 @@ Usage::
     PYTHONPATH=src python scripts/check_crash_recovery.py
     PYTHONPATH=src python scripts/check_crash_recovery.py --events 30
 
-Exits non-zero on the first mismatch, printing both digests and keeping
-the state dirs for post-mortem (CI uploads them as artifacts).
+Exits non-zero if any cell mismatches, printing both digests (or the
+differing sections) and keeping the state dirs for post-mortem (CI
+uploads them as artifacts).
 """
 
 from __future__ import annotations
@@ -93,15 +97,68 @@ def run(argv: list[str], extra_env: dict[str, str] | None = None,
     return proc
 
 
-def final_digest(state_dir: Path) -> str:
-    """The schedule digest recorded in the run's final checkpoint."""
+#: (section, field) pairs of the final checkpoint that count the recovery
+#: itself, so a resumed run legitimately differs from its baseline there.
+RECOVERY_FIELDS = [("service", "replayed"), ("service", "restarts"),
+                   ("counters", "recovery_replayed_events"),
+                   ("counters", "restarts")]
+
+
+def final_checkpoint(state_dir: Path) -> dict:
+    """The run's final checkpoint (exits if the run did not complete)."""
     checkpoint = json.loads(
         (state_dir / "checkpoint.json").read_text(encoding="utf-8"))
     if checkpoint.get("origin") != "final":
         raise SystemExit(
             f"{state_dir}: checkpoint origin is {checkpoint.get('origin')!r},"
             f" expected 'final' — the run did not complete")
-    return str(checkpoint["service"]["digest"])
+    return checkpoint
+
+
+def final_digest(state_dir: Path) -> str:
+    """The schedule digest recorded in the run's final checkpoint."""
+    return str(final_checkpoint(state_dir)["service"]["digest"])
+
+
+def differing_sections(baseline: dict, resumed: dict) -> list[str]:
+    """Checkpoint sections in which ``resumed`` differs from ``baseline``,
+    ignoring the fingerprint and :data:`RECOVERY_FIELDS`."""
+    def canonical(checkpoint: dict) -> dict[str, str]:
+        sections = {key: value for key, value in checkpoint.items()
+                    if key != "fingerprint"}
+        for section, field in RECOVERY_FIELDS:
+            sections[section] = {key: value
+                                 for key, value in sections[section].items()
+                                 if key != field}
+        return {key: json.dumps(value, sort_keys=True)
+                for key, value in sections.items()}
+
+    base, res = canonical(baseline), canonical(resumed)
+    return sorted(key for key in base.keys() | res.keys()
+                  if base.get(key) != res.get(key))
+
+
+def compare_final(cell: str, base_dir: Path, state: Path,
+                  failures: list[str]) -> None:
+    """Check a resumed run's final checkpoint against its baseline's: the
+    same digest, and the same content outside the recovery bookkeeping."""
+    baseline, resumed = final_checkpoint(base_dir), final_checkpoint(state)
+    expected = baseline["service"]["digest"]
+    got = resumed["service"]["digest"]
+    differing = differing_sections(baseline, resumed)
+    print(f"[{cell}] resumed digest {got[:16]}… "
+          f"{'MATCH' if got == expected else 'MISMATCH'}, sections "
+          f"{'equal' if not differing else 'differ: ' + ', '.join(differing)}")
+    if got != expected:
+        failures.append(
+            f"{cell}: digest mismatch\n"
+            f"  baseline {expected}\n"
+            f"  resumed  {got}\n"
+            f"  state dir kept at {state}")
+    if differing:
+        failures.append(
+            f"{cell}: final checkpoint differs from the baseline's in "
+            f"{', '.join(differing)}\n  state dir kept at {state}")
 
 
 def main() -> int:
@@ -142,16 +199,7 @@ def main() -> int:
                 continue
             run(serve_argv(state, flags, args.events, resume=True),
                 extra_env={"REPRO_AUDIT": "1"})
-            resumed = final_digest(state)
-            ok = resumed == baseline
-            print(f"[{cell}] resumed digest {resumed[:16]}… "
-                  f"{'MATCH' if ok else 'MISMATCH'}")
-            if not ok:
-                failures.append(
-                    f"{cell}: digest mismatch\n"
-                    f"  baseline {baseline}\n"
-                    f"  resumed  {resumed}\n"
-                    f"  state dir kept at {state}")
+            compare_final(cell, base_dir, state, failures)
 
     # Mid-staged-execution kill: under --compile-mode staged a multi-stage
     # compiled plan visits the "stage" crash point between its stages, so
@@ -181,16 +229,8 @@ def main() -> int:
         run(serve_argv(staged_state, staged_flags, args.events,
                        resume=True),
             extra_env={"REPRO_AUDIT": "1"})
-        resumed = final_digest(staged_state)
-        ok = resumed == staged_baseline
-        print(f"[staged-plmtf/stage:1] resumed digest {resumed[:16]}… "
-              f"{'MATCH' if ok else 'MISMATCH'}")
-        if not ok:
-            failures.append(
-                f"staged-plmtf/stage:1: digest mismatch\n"
-                f"  baseline {staged_baseline}\n"
-                f"  resumed  {resumed}\n"
-                f"  state dir kept at {staged_state}")
+        compare_final("staged-plmtf/stage:1", staged_base, staged_state,
+                      failures)
 
     # Supervisor end-to-end: the armed child SIGKILLs itself; the
     # supervisor strips the armament and restarts with --resume.
@@ -199,15 +239,8 @@ def main() -> int:
     run(serve_argv(sup_state, SCHEDULERS["plmtf"], args.events,
                    supervise=2),
         extra_env={"REPRO_CRASH_AT": "post-round:5", "REPRO_AUDIT": "1"})
-    sup_digest = final_digest(sup_state)
-    base_digest = final_digest(work / "plmtf-baseline")
-    ok = sup_digest == base_digest
-    print(f"[supervised/post-round:5] digest {sup_digest[:16]}… "
-          f"{'MATCH' if ok else 'MISMATCH'}")
-    if not ok:
-        failures.append(
-            f"supervised: digest mismatch\n  baseline {base_digest}\n"
-            f"  resumed  {sup_digest}\n  state dir kept at {sup_state}")
+    compare_final("supervised/post-round:5", work / "plmtf-baseline",
+                  sup_state, failures)
 
     elapsed = time.time() - started
     if failures:
@@ -219,7 +252,8 @@ def main() -> int:
         return 1
     cells = len(SCHEDULERS) * len(KILL_POINTS) + 2
     print(f"\nOK: {cells} crash/resume cells byte-identical to their "
-          f"uninterrupted baselines ({elapsed:.0f}s)")
+          f"uninterrupted baselines, final checkpoints equal outside the "
+          f"recovery bookkeeping ({elapsed:.0f}s)")
     if args.work_dir is None:
         shutil.rmtree(work, ignore_errors=True)
     return 0

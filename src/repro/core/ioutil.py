@@ -30,11 +30,17 @@ def payload_fingerprint(payload: Any, length: int = 16) -> str:
     the service's periodic snapshots to make each snapshot line
     self-validating.
     """
+    return text_fingerprint(json.dumps(payload, sort_keys=True, default=str),
+                            length)
+
+
+def text_fingerprint(text: str, length: int = 16) -> str:
+    """The hash :func:`payload_fingerprint` takes of its canonical JSON
+    text, for callers that already hold that text."""
     if length < 4 or length > 64:
         raise ValueError(f"fingerprint length must be in [4, 64], "
                          f"got {length}")
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return sha256(blob.encode("utf-8")).hexdigest()[:length]
+    return sha256(text.encode("utf-8")).hexdigest()[:length]
 
 
 def rng_state_payload(rng: random.Random) -> list:

@@ -339,10 +339,14 @@ class MetricsCollector:
     # -------------------------------------------------------- checkpointing
 
     def export_state(self) -> dict:
-        """JSON-ready encoding of all records and counters."""
-        from dataclasses import asdict
+        """JSON-ready encoding of all records and counters.
+
+        Records are flat (JSON scalars only), so each one's field dict is
+        its encoding; ``asdict``'s recursive deep copy would only slow
+        every checkpoint down as the ledger grows.
+        """
         return {
-            "records": [asdict(r) for r in self._records.values()],
+            "records": [dict(vars(r)) for r in self._records.values()],
             "completed": self._completed,
             "dropped": self._dropped,
             "plan_time": self._plan_time,

@@ -675,9 +675,10 @@ class RoundPipeline:
         remaining flows (rebuilt by filtering ``event.flows``, preserving
         order) and the enqueue seq. The round log is exported whole: it
         already lives unbounded in memory for the run's lifetime, and the
-        auditor cross-checks its length against the round index.
+        auditor cross-checks its length against the round index. Round
+        logs hold only JSON scalars and one tuple of ids, so each one's
+        field dict is its encoding (JSON writes the tuple as a list).
         """
-        from dataclasses import asdict
         return {
             "queue": [{"event": q.event.to_payload(),
                        "remaining": [f.flow_id for f in q.remaining],
@@ -688,7 +689,7 @@ class RoundPipeline:
             "round_index": self._round_index,
             "event_outstanding": dict(self._event_outstanding),
             "event_done_queueing": sorted(self._event_done_queueing),
-            "rounds": [asdict(r) for r in self._rounds],
+            "rounds": [dict(vars(r)) for r in self._rounds],
             "events_remaining": self._events_remaining,
             "enqueue_seq": self._enqueue_seq,
             "deferral_counts": dict(self._deferral_counts),

@@ -565,12 +565,11 @@ class SimulationService:
         """
         if self._state_dir is None or self._journal is None:
             return
-        payload = build_checkpoint(
+        text = build_checkpoint(
             self, origin, journal_offset=self._journal_offset,
             journal_records=self._journal_records)
         crash_point("snapshot")
-        atomic_write_text(self._state_dir / CHECKPOINT_FILE,
-                          json.dumps(payload, sort_keys=True) + "\n")
+        atomic_write_text(self._state_dir / CHECKPOINT_FILE, text)
 
     def _service_state(self) -> dict[str, Any]:
         """The service's own slice of the checkpoint payload."""

@@ -9,7 +9,9 @@ exact bits), every decision-affecting RNG, the scheduler's mutable state
 (sampling RNG, online model, EWMAs), and the service's own ingest
 bookkeeping. The document is versioned, fingerprinted, and written with
 :func:`repro.core.ioutil.atomic_write_text` so a crash mid-write leaves
-the previous checkpoint intact.
+the previous checkpoint intact. :func:`encode_checkpoint` encodes each
+section once and hashes the same text for the fingerprint, so the file is
+exactly ``json.dumps(payload, sort_keys=True)`` without encoding it twice.
 
 Restore = rebuild the identical simulator from its spec, apply the
 checkpoint, skip the arrival stream's consumed prefix, then re-drive the
@@ -23,11 +25,16 @@ assertion.
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.exceptions import SimulationError
-from repro.core.ioutil import payload_fingerprint, rng_state_payload
+from repro.core.ioutil import (
+    payload_fingerprint,
+    rng_state_payload,
+    text_fingerprint,
+)
 
 if TYPE_CHECKING:
     from repro.sim.service import SimulationService
@@ -40,6 +47,7 @@ __all__ = [
     "RecoveryError",
     "build_checkpoint",
     "discard_state",
+    "encode_checkpoint",
     "load_checkpoint",
 ]
 
@@ -59,8 +67,11 @@ class RecoveryError(SimulationError):
 
 def build_checkpoint(service: "SimulationService", origin: str,
                      journal_offset: int,
-                     journal_records: int) -> dict[str, Any]:
-    """Assemble the full checkpoint payload for ``service`` right now.
+                     journal_records: int) -> str:
+    """Encode the full checkpoint of ``service`` right now.
+
+    Returns the file text: :func:`encode_checkpoint` of the payload plus a
+    trailing newline.
 
     Args:
         service: the running service (must be at an engine-callback
@@ -97,9 +108,26 @@ def build_checkpoint(service: "SimulationService", origin: str,
         "journal": {"offset": journal_offset, "records": journal_records},
         "service": service._service_state(),
     }
-    payload["fingerprint"] = payload_fingerprint(
-        {k: v for k, v in payload.items() if k != "fingerprint"})
-    return payload
+    return encode_checkpoint(payload) + "\n"
+
+
+def encode_checkpoint(payload: dict[str, Any]) -> str:
+    """``json.dumps(payload | {"fingerprint": fp}, sort_keys=True)``, with
+    ``fp = payload_fingerprint(payload)``, encoding ``payload`` only once.
+
+    Each top-level section is encoded once; their sorted join is the text
+    :func:`payload_fingerprint` would hash, and the fingerprint entry is
+    then spliced in at its sorted position. ``payload`` must be plain JSON
+    (no ``default=str`` fallback, unlike the fingerprint helper) with
+    string keys, none of them ``"fingerprint"``.
+    """
+    keys = sorted(payload)
+    items = [f"{json.dumps(key)}: {json.dumps(payload[key], sort_keys=True)}"
+             for key in keys]
+    fingerprint = text_fingerprint("{" + ", ".join(items) + "}")
+    items.insert(bisect(keys, "fingerprint"),
+                 f'"fingerprint": {json.dumps(fingerprint)}')
+    return "{" + ", ".join(items) + "}"
 
 
 def discard_state(state_dir: str | Path) -> list[str]:

@@ -10,7 +10,10 @@ Runs on the small diamond network like the rest of the service suite.
 """
 
 import json
+import math
+import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,11 +21,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import diamond_setup  # noqa: E402
 
+from repro.cli import build_serve_parser
+from repro.cli import build_service as build_cli_service
 from repro.core.event import event_id_state, set_event_id_state
 from repro.core.flow import flow_id_state, set_flow_id_state
+from repro.core.ioutil import payload_fingerprint
 from repro.sched.fifo import FIFOScheduler
 from repro.sched.lmtf import LMTFScheduler
-from repro.sim import crashpoint
+from repro.sim import crashpoint, snapshot
+from repro.sim import service as service_mod
 from repro.sim.crashpoint import CrashInjected
 from repro.sim.journal import JournalCorruptionError, scan_journal
 from repro.sim.service import ServiceConfig, SimulationService
@@ -32,6 +39,7 @@ from repro.sim.snapshot import (
     JOURNAL_FILE,
     RecoveryError,
     discard_state,
+    encode_checkpoint,
     load_checkpoint,
 )
 from repro.traces.arrivals import SyntheticTrace
@@ -418,3 +426,100 @@ class TestCheckpointPayload:
                                      / CHECKPOINT_FILE)
         assert checkpoint["origin"] == "final"
         assert checkpoint["service"]["digest"] == report.digest
+
+
+def reference_checkpoint_text(payload, sim):
+    """The checkpoint file the slow, obvious way: ``asdict`` records and
+    round logs, ``payload_fingerprint`` over the whole payload, then a
+    second ``json.dumps`` for the file."""
+    reference = dict(payload)
+    reference["metrics"] = {
+        **payload["metrics"],
+        "records": [asdict(r)
+                    for r in sim.metrics_collector.records.values()]}
+    reference["pipeline"] = {
+        **payload["pipeline"],
+        "rounds": [asdict(r) for r in sim.pipeline.rounds]}
+    reference["fingerprint"] = payload_fingerprint(
+        {k: v for k, v in reference.items() if k != "fingerprint"})
+    return json.dumps(reference, sort_keys=True) + "\n"
+
+
+class TestCheckpointEncoding:
+    def test_encoding_matches_sorted_json_dump(self):
+        payload = {
+            "zeta": {"nested": {3: "three", 10: [1, 2.5], -1: None}},
+            "alpha": ["héllo", "日本", "\u2603", "tab\tquote\""],
+            "floats": [-0.0, 1e-300, float("nan"), float("inf"), 0.1],
+            "empty": [],
+            "nothing": None,
+            "ümlaut": {"": {}},
+            "fingerprinted": True,
+        }
+        text = encode_checkpoint(payload)
+        fingerprint = payload_fingerprint(payload)
+        assert text == json.dumps({**payload, "fingerprint": fingerprint},
+                                  sort_keys=True)
+        decoded = json.loads(text)
+        assert decoded["fingerprint"] == fingerprint
+        assert math.isnan(decoded["floats"][2])
+        assert math.copysign(1.0, decoded["floats"][0]) == -1.0
+
+    @pytest.mark.parametrize("payload", [{}, {"a": 1}, {"zz": 1},
+                                         {"fingerprinz": 0, "f": 1}])
+    def test_fingerprint_lands_in_sorted_position(self, payload):
+        text = encode_checkpoint(payload)
+        assert text == json.dumps(
+            {**payload, "fingerprint": payload_fingerprint(payload)},
+            sort_keys=True)
+
+
+@pytest.mark.parametrize("scheduler", ["plmtf", "l-lmtf"])
+def test_checkpoint_bytes_match_reference_encoding(tmp_path, monkeypatch,
+                                                scheduler):
+    """Every checkpoint a staged, audited, backpressured serve writes is
+    byte-identical to the deep-copy, double-encoding reference."""
+    state = tmp_path / "state"
+    args = build_serve_parser().parse_args([
+        "--events", "30", "--rate", "1.0", "--scheduler", scheduler,
+        "--k", "4", "--min-flows", "2", "--max-flows", "6",
+        "--queue-cap", "3", "--resume-depth", "1",
+        "--compile-mode", "staged", "--snapshot-every", "5",
+        "--stats-every", "0", "--state-dir", str(state),
+        "--snapshot-dir", str(tmp_path / "snapshots")])
+    _, service = build_cli_service(args)
+    sim = service._sim
+    expected: list[str] = []
+    origins: list[str] = []
+
+    real_encode = snapshot.encode_checkpoint
+
+    def encode_and_reference(payload):
+        expected.append(reference_checkpoint_text(payload, sim))
+        return real_encode(payload)
+
+    real_write = service_mod.atomic_write_text
+
+    def write_and_check(path, text, encoding="utf-8"):
+        real_write(path, text, encoding)
+        if Path(path).name == CHECKPOINT_FILE:
+            if text != expected[-1]:
+                # Report the first difference; pytest's own diff of two
+                # long one-line documents would take minutes.
+                at = len(os.path.commonprefix([text, expected[-1]]))
+                window = slice(max(at - 40, 0), at + 40)
+                pytest.fail(f"checkpoint {len(origins)} differs at char "
+                            f"{at}: {text[window]!r} vs "
+                            f"{expected[-1][window]!r}")
+            origins.append(load_checkpoint(path)["origin"])
+
+    monkeypatch.setattr(snapshot, "encode_checkpoint", encode_and_reference)
+    monkeypatch.setattr(service_mod, "atomic_write_text", write_and_check)
+    report = service.serve()
+
+    assert origins.count("snapshot-tick") >= 5
+    assert origins[-1] == "final"
+    assert len(origins) == len(expected)
+    assert report.backpressure_pauses > 0
+    assert report.audits > 0
+    assert report.completed + report.dropped == 30
