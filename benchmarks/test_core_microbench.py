@@ -13,9 +13,12 @@ different workload on every run.
 """
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.core.compile import PlanCompilerConfig, compile_plan
 from repro.core.event import make_event
 from repro.core.flow import Flow
 from repro.core.planner import EventPlanner
@@ -28,6 +31,9 @@ from repro.sched.lmtf import LMTFScheduler
 from repro.traces.background import BackgroundLoader
 from repro.traces.benson import BensonLikeTrace
 from repro.traces.yahoo import YahooLikeTrace
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import compile_reference  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +114,41 @@ def test_event_cost_probe(benchmark, loaded):
 def test_network_copy(benchmark, loaded):
     __, __provider, network, __event = loaded
     benchmark(network.copy)
+
+
+def _stage_signature(compiled):
+    return [([(s.kind, s.flow_id) for s in stage.steps],
+             stage.transient_overload.hex()) for stage in compiled.stages]
+
+
+def test_compile_plan_staged(benchmark, loaded):
+    """Staged compilation of one 25-flow plan against the loaded k=8
+    fabric: safe ordering plus stage batching, the per-event compile cost
+    of ``repro serve --compile-mode staged``.
+
+    Flow and event ids are fixed strings and compiling mints none, so the
+    timed lambda always sees the same plan. The compiled plan must equal
+    the pre-index reference compiler's (``tests/compile_reference.py``);
+    that check also runs under ``--benchmark-disable``.
+    """
+    topo, provider, network, __ = loaded
+    hosts = topo.hosts()
+    rng = random.Random(11)
+    flows = []
+    for i in range(25):
+        src, dst = rng.sample(hosts, 2)
+        flows.append(Flow(flow_id=f"compile-{i}", src=src, dst=dst,
+                          demand=rng.uniform(20.0, 200.0)))
+    event = make_event(flows, event_id="compile-bench")
+    plan = EventPlanner(provider).plan_event(network, event,
+                                             random.Random(12), commit=False)
+    config = PlanCompilerConfig(mode="staged")
+    compiled = benchmark(lambda: compile_plan(network, plan, config))
+    reference = compile_reference.compile_plan(network, plan, config)
+    assert _stage_signature(compiled) == _stage_signature(reference)
+    benchmark.extra_info["steps"] = len(compiled.steps)
+    benchmark.extra_info["migrations"] = plan.migration_count
+    benchmark.extra_info["stages"] = compiled.stage_count
 
 
 # --------------------------------------------------------- probe cache

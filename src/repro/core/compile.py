@@ -37,13 +37,24 @@ executor's live network still enforces hard capacity and its failure path
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 
 from repro.core.consistency import transient_overloads
-from repro.core.ordering import Step, StepKind, find_safe_order, plan_steps
+from repro.core.ordering import (
+    LinkReader,
+    Step,
+    StepKind,
+    find_safe_order,
+    plan_steps,
+)
 from repro.core.plan import EventPlan, Migration
-from repro.network.link import EPS, LinkId, path_links
+from repro.network.link import EPS
 from repro.network.state import NetworkState
+
+#: Maps a path to its links' keys (see :class:`LinkReader`).
+_Keys = Callable[[Sequence[str]], Sequence[Hashable]]
 
 #: Recognized compilation modes.
 COMPILE_MODES = ("atomic", "staged", "augmented")
@@ -118,12 +129,15 @@ def compile_plan(state: NetworkState, plan: EventPlan,
                  config: PlanCompilerConfig | None = None) -> CompiledPlan:
     """Compile ``plan`` against ``state`` into a :class:`CompiledPlan`.
 
-    Read-only on ``state`` (safe ordering probes a throwaway view). The
+    Read-only on ``state``: safe ordering probes an index-keyed load
+    overlay and batching reads ``state``'s link columns beside a local
+    load shift, both with a view's exact float arithmetic. The
     compiled steps are a permutation of :func:`plan_steps`; when the plan's
     own sequential order is safe against ``state`` — always true when
     compiling against the state the plan was computed on — the permutation
     is the identity, so stage-by-stage execution reaches a final state
     byte-identical to the atomic :func:`repro.core.executor.apply_plan`.
+    A malformed step raises as in :func:`find_safe_order`.
     """
     config = config or PlanCompilerConfig()
     steps = plan_steps(plan)
@@ -140,7 +154,7 @@ def compile_plan(state: NetworkState, plan: EventPlan,
     # drift, stuck steps (swap deadlocks) are appended so execution still
     # attempts every step — the live network enforces capacity for real.
     sequence = ordering.order + ordering.stuck
-    stages = _batch_stages(state, sequence, config.epsilon)
+    stages = _batch_stages(LinkReader(state), sequence, config.epsilon)
     if not stages:
         stages = (Stage(steps=()),)
     return CompiledPlan(plan=plan, mode=config.mode,
@@ -150,92 +164,107 @@ def compile_plan(state: NetworkState, plan: EventPlan,
 # ----------------------------------------------------------------- internals
 
 
-def _transient_additions(step: Step) -> dict[LinkId, float]:
+def _transient_additions(step: Step, keys: _Keys) -> dict[Hashable, float]:
     """Per-link load a step adds *while its stage is in flight*.
 
     A migrated flow occupies both paths until the stage commits, so only
-    links new to its path gain load; a placed flow loads its whole path.
+    links new to its path gain load; a placed flow loads its whole path
+    (simple: safe ordering validated it), its demand once per link.
     """
-    added: dict[LinkId, float] = {}
-    if step.kind is StepKind.MIGRATE:
-        migration = step.payload
-        assert isinstance(migration, Migration)
-        old = frozenset(path_links(migration.old_path))
-        for link in path_links(step.path):
-            if link not in old:
-                added[link] = added.get(link, 0.0) + step.demand
-    else:
-        for link in path_links(step.path):
-            added[link] = added.get(link, 0.0) + step.demand
+    demand = step.demand
+    if step.kind is not StepKind.MIGRATE:
+        return dict.fromkeys(keys(step.path), demand)
+    migration = step.payload
+    assert isinstance(migration, Migration)
+    old = keys(migration.old_path)
+    added: dict[Hashable, float] = {}
+    for key in keys(step.path):
+        if key not in old:
+            added[key] = added.get(key, 0.0) + demand
     return added
 
 
-def _settle(step: Step, delta: dict[LinkId, float]) -> None:
-    """Fold a committed step's steady-state load shift into ``delta``."""
-    if step.kind is StepKind.MIGRATE:
-        migration = step.payload
-        assert isinstance(migration, Migration)
-        old = frozenset(path_links(migration.old_path))
-        new = frozenset(path_links(migration.new_path))
-        for link in new - old:
-            delta[link] = delta.get(link, 0.0) + step.demand
-        for link in old - new:
-            delta[link] = delta.get(link, 0.0) - step.demand
-    else:
-        for link in path_links(step.path):
-            delta[link] = delta.get(link, 0.0) + step.demand
+def _settle(step: Step, added: dict[Hashable, float],
+            delta: defaultdict[Hashable, float], keys: _Keys) -> None:
+    """Fold a committed step's steady-state load shift into ``delta``;
+    a placed flow's is its in-flight load ``added``."""
+    if step.kind is not StepKind.MIGRATE:
+        for key, add in added.items():
+            delta[key] += add
+        return
+    demand = step.demand
+    migration = step.payload
+    assert isinstance(migration, Migration)
+    old = frozenset(keys(migration.old_path))
+    new = frozenset(keys(migration.new_path))
+    for key in new - old:
+        delta[key] += demand
+    for key in old - new:
+        delta[key] -= demand
 
 
-def _batch_stages(state: NetworkState, sequence: list[Step],
+def _batch_stages(reader: LinkReader, sequence: list[Step],
                   epsilon: float) -> tuple[Stage, ...]:
     """Greedy longest-prefix batching of ``sequence`` into stages.
 
     ``delta`` shadows the settled load shift of the stages already closed
-    (a plain dict, not a capacity-enforcing view: augmented stages may
-    legally exceed capacity mid-schedule). A step joins the current batch
-    iff every link it loads stays within ``(1 + ε) · capacity``; a step
-    that does not fit even in an empty batch becomes its own stage with
-    the overshoot recorded.
+    (a plain dict keyed like ``reader``, 0.0 where unset — not a
+    capacity-enforcing view: augmented stages may legally exceed capacity
+    mid-schedule). A step joins the current batch iff every link it loads
+    stays within ``(1 + ε) · capacity``: its batch load is at most the
+    headroom ``(1 + ε)·cap + EPS - used - delta``. A step that does not
+    fit even in an empty batch becomes its own stage with the overshoot
+    ``(used + delta + add - cap) / cap`` recorded. Both are evaluated in
+    exactly that order: a stage boundary may sit on the last bit.
     """
-    delta: dict[LinkId, float] = {}
+    capacity, used, keys = reader.capacity, reader.used, reader.keys
+    scale = 1.0 + epsilon
+    delta: defaultdict[Hashable, float] = defaultdict(float)
     stages: list[Stage] = []
     batch: list[Step] = []
-    batch_added: dict[LinkId, float] = {}
+    batch_loads: list[dict[Hashable, float]] = []  # each step's additions
+    batch_added: defaultdict[Hashable, float] = defaultdict(float)
 
-    def headroom(link: LinkId) -> float:
-        capacity = state.capacity(*link)
-        return ((1.0 + epsilon) * capacity + EPS
-                - state.used(*link) - delta.get(link, 0.0))
+    def fits(additions: dict[Hashable, float]) -> bool:
+        """Every addition on top of the batch stays within headroom."""
+        for key, add in additions.items():
+            if not batch_added.get(key, 0.0) + add <= (
+                    scale * capacity[key] + EPS - used[key] - delta[key]):
+                return False
+        return True
 
-    def close() -> None:
+    def close(last: bool = False) -> None:
         if not batch:
             return
         overload = 0.0
-        for link, add in batch_added.items():
-            capacity = state.capacity(*link)
-            if capacity <= 0:
+        for key, add in batch_added.items():
+            cap = capacity[key]
+            if cap <= 0:
                 continue
-            transient = state.used(*link) + delta.get(link, 0.0) + add
-            overload = max(overload, (transient - capacity) / capacity)
+            excess = (used[key] + delta[key] + add - cap) / cap
+            if excess > overload:
+                overload = excess
         stages.append(Stage(steps=tuple(batch),
                             transient_overload=max(0.0, overload)))
-        for step in batch:
-            _settle(step, delta)
+        if last:
+            return  # nothing reads the settled shift after the last stage
+        for step, added in zip(batch, batch_loads):
+            _settle(step, added, delta, keys)
         batch.clear()
+        batch_loads.clear()
         batch_added.clear()
 
     for step in sequence:
-        additions = _transient_additions(step)
-        fits = all(batch_added.get(link, 0.0) + add <= headroom(link)
-                   for link, add in additions.items())
-        if not fits and batch:
+        additions = _transient_additions(step, keys)
+        ok = fits(additions)
+        if not ok and batch:
             close()
-            fits = all(add <= headroom(link)
-                       for link, add in additions.items())
-        for link, add in additions.items():
-            batch_added[link] = batch_added.get(link, 0.0) + add
+            ok = fits(additions)
+        for key, add in additions.items():
+            batch_added[key] += add
         batch.append(step)
-        if not fits:
+        batch_loads.append(additions)
+        if not ok:
             close()  # drifted singleton: emit with its overshoot recorded
-    close()
+    close(last=True)
     return tuple(stages)

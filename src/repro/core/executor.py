@@ -308,10 +308,13 @@ class PlanExecutor:
         """Staged/augmented execution: compile, then apply stage by stage.
 
         The plan is compiled against the live state at execute time — the
-        same state it was planned against in the default round pipeline —
-        so the compiled step order is the plan order and the settled final
-        state is byte-identical to the atomic path's. Install latency is
-        charged per stage, so longer schedules cost simulated time.
+        same state it was planned against, since a round plans, admits and
+        executes inside one round callback and no churn or fault callback
+        runs in between (``tests/integration/test_compile_no_drift.py``
+        pins this) — so the compiled step order is the plan order and the
+        settled final state is byte-identical to the atomic path's. Install
+        latency is charged per stage, so longer schedules cost simulated
+        time.
         """
         _check_feasible(plan)
         assert self._compiler is not None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 _flow_counter = itertools.count()
@@ -143,6 +144,19 @@ class Flow:
                    kind=FlowKind(payload["kind"]))
 
 
+def check_endpoints(flow: Flow, path: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless ``path`` can carry ``flow``: at least
+    two nodes, from the flow's source to its destination. Every
+    :class:`Placement` is checked this way, and so is every what-if
+    placement that builds none."""
+    if len(path) < 2:
+        raise ValueError("a placement path needs at least two nodes")
+    if path[0] != flow.src or path[-1] != flow.dst:
+        raise ValueError(
+            f"path endpoints {path[0]!r}->{path[-1]!r} do not "
+            f"match flow endpoints {flow.src!r}->{flow.dst!r}")
+
+
 @dataclass(frozen=True)
 class Placement:
     """A flow together with the path it occupies in the network."""
@@ -151,12 +165,7 @@ class Placement:
     path: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.path) < 2:
-            raise ValueError("a placement path needs at least two nodes")
-        if self.path[0] != self.flow.src or self.path[-1] != self.flow.dst:
-            raise ValueError(
-                f"path endpoints {self.path[0]!r}->{self.path[-1]!r} do not "
-                f"match flow endpoints {self.flow.src!r}->{self.flow.dst!r}")
+        check_endpoints(self.flow, self.path)
 
     @property
     def links(self) -> tuple[tuple[str, str], ...]:

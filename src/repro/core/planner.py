@@ -273,7 +273,10 @@ class EventPlanner:
         except InsufficientBandwidthError:
             return None, ops
         attempt.commit()
-        return FlowPlan(flow=flow, path=tuple(path),
+        # Keep an interned candidate path as is: its baked link indices
+        # serve every later read of this flow's path.
+        return FlowPlan(flow=flow,
+                        path=path if isinstance(path, tuple) else tuple(path),
                         migrations=tuple(migrations)), ops
 
     def _select_feasible_path(

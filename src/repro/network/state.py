@@ -68,12 +68,23 @@ class NetworkState(abc.ABC):
         """The dense link index this state is keyed by, or ``None``."""
         return None
 
-    def link_version_idx(self, i: int) -> int:
-        """:meth:`link_version` of the link with table index ``i``."""
+    def _link_at(self, i: int) -> LinkId:
         table = self.link_table()
         if table is None:
             raise TypeError(f"{type(self).__name__} is not index-backed")
-        return self.link_version(*table.ids[i])
+        return table.ids[i]
+
+    def capacity_idx(self, i: int) -> float:
+        """:meth:`capacity` of the link with table index ``i``."""
+        return self.capacity(*self._link_at(i))
+
+    def used_idx(self, i: int) -> float:
+        """:meth:`used` of the link with table index ``i``."""
+        return self.used(*self._link_at(i))
+
+    def link_version_idx(self, i: int) -> int:
+        """:meth:`link_version` of the link with table index ``i``."""
+        return self.link_version(*self._link_at(i))
 
     # ------------------------------------------------------------- versioning
     #
